@@ -922,14 +922,23 @@ let reduce_cmd =
               a + f r.Compdiff.Reduce.red_stats)
             0 reduced
         in
-        Printf.printf
-          "reduce stats: %d divergences, median input reduction %.0f%%, total \
-           %d -> %d bytes, %d oracle checks\n"
-          (List.length reduced)
-          (100. *. median)
-          (sum (fun s -> s.Compdiff.Reduce.input_before))
-          (sum (fun s -> s.Compdiff.Reduce.input_after))
-          (sum (fun s -> s.Compdiff.Reduce.checks));
+        let n = List.length reduced in
+        let checks = sum (fun s -> s.Compdiff.Reduce.checks)
+        and screened = sum (fun s -> s.Compdiff.Reduce.screened)
+        and before = sum (fun s -> s.Compdiff.Reduce.input_before)
+        and after = sum (fun s -> s.Compdiff.Reduce.input_after) in
+        if c.co_stats_json then
+          Printf.printf
+            "{\"reduce\": {\"divergences\": %d, \"median_input_reduction\": \
+             %.4f, \"input_before\": %d, \"input_after\": %d, \"checks\": \
+             %d, \"screened\": %d}}\n"
+            n median before after checks screened
+        else
+          Printf.printf
+            "reduce stats: %d divergences, median input reduction %.0f%%, \
+             total %d -> %d bytes, %d oracle checks, %d program candidates \
+             screened on the divergent pair\n"
+            n (100. *. median) before after checks screened;
         print_oracle_stats ~c (Compdiff.Oracle.stats oracle);
         print_session_stats c
       end;
@@ -1575,8 +1584,8 @@ let serve_cmd =
         Serve.Server.socket_path = socket;
         sched =
           {
-            Serve.Scheduler.session = c.co_session;
-            quota;
+            (Serve.Scheduler.default_config ~session:c.co_session ()) with
+            Serve.Scheduler.quota;
             executors;
             max_oracles;
             default_fuel = Option.value c.co_fuel ~default:200_000;

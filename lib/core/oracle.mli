@@ -75,17 +75,12 @@ val create :
     execution when [> 1]; [dedup:false] disables equivalence-class
     grouping. *)
 
-val of_binaries :
-  ?session:Engine.Session.t ->
-  ?normalize:Normalize.filter ->
-  ?fuel:int ->
-  ?max_fuel:int ->
-  ?compare_status:bool ->
-  ?jobs:int ->
-  ?dedup:bool ->
-  (string * Cdcompiler.Ir.unit_) list ->
-  t
-(** Like {!create} for already-compiled binaries. *)
+val recompile : ?only:string list -> t -> Minic.Tast.tprogram -> t
+(** [recompile o tp] is an oracle like [o] on program [tp]: the same
+    session, profiles (in the same order), normalizer, fuel, escalation
+    cap, [compare_status], [jobs] and dedup setting.  [only] restricts
+    it to the named profiles (names [o] does not have are ignored).
+    Reduction builds its candidate oracles this way. *)
 
 val names : t -> string list
 (** Implementation names, in the order [Diverge] reports them. *)
@@ -96,7 +91,7 @@ val binaries : t -> (string * Cdcompiler.Ir.unit_) list
 val session : t -> Engine.Session.t
 (** The engine session this oracle compiles, links and executes through
     (a private caching-disabled one when none was passed to {!create}).
-    Derived pipelines — reduction's re-oracles, localization's trace
+    Derived pipelines — {!recompile}'s oracles, localization's trace
     images — reuse it so their replays share the caches. *)
 
 val jobs : t -> int

@@ -16,7 +16,13 @@
    before it is accepted, so a candidate that diverges *differently*
    (an unrelated bug uncovered by the edit) is rejected rather than
    silently swapped in.  Soundness is therefore trivial: the final pair
-   was validated by the very oracle that will judge the report. *)
+   was validated by the very oracle that will judge the report.
+
+   Program candidates are screened first on the two implementations the
+   divergence separates ([screen_rejects]); only the survivors pay for
+   the full recompilation.  The screen rejects only candidates the full
+   check would reject too (DESIGN.md section 8), so it changes the cost
+   of reduction, never its result. *)
 
 type cls = {
   cls_signature : int;
@@ -30,6 +36,7 @@ type stats = {
   input_after : int;
   stmts_before : int;
   stmts_after : int;
+  screened : int;
 }
 
 type result = {
@@ -218,15 +225,20 @@ let candidates (p : program) : program Seq.t =
 
 (* --- the reducer --- *)
 
-let default_reoracle (oracle : Oracle.t) (tp : Minic.Tast.tprogram) : Oracle.t =
-  (* re-oracles share the parent's session, so revalidating a candidate
-     already seen (and re-checking the surviving input) hits the caches *)
-  Oracle.create
-    ~session:(Oracle.session oracle)
-    ~normalize:(Oracle.normalize oracle)
-    ~fuel:(Oracle.base_fuel oracle)
-    ~max_fuel:(Oracle.fuel_limit oracle)
-    ~jobs:(Oracle.jobs oracle) tp
+(* The pair screen: observe the candidate on the divergent pair alone.
+   When both terminate with equal checksums, the full oracle observes
+   those same two results (it escalates at least as far while the pair
+   is mixed, and a terminating run is budget-invariant), so its
+   partition puts [a] and [b] in one class where the original class
+   separates them: the candidate cannot preserve the class. *)
+let screen_rejects ~template ~pair:(a, b) ~input tp =
+  let o = Oracle.recompile ~only:[ a; b ] template tp in
+  match Oracle.observe o ~input with
+  | [ (_, oa); (_, ob) ] ->
+      oa.Oracle.status <> Cdvm.Trap.Hang
+      && ob.Oracle.status <> Cdvm.Trap.Hang
+      && Oracle.checksum o oa = Oracle.checksum o ob
+  | _ -> false
 
 let reduce ?(max_checks = 1_000) ?program ?reoracle (oracle : Oracle.t)
     ~(input : string) (obs : (string * Oracle.observation) list) :
@@ -234,7 +246,7 @@ let reduce ?(max_checks = 1_000) ?program ?reoracle (oracle : Oracle.t)
   let cls = class_of oracle ~input obs in
   if cls.cls_pair = None then None
   else begin
-    let checks = ref 0 in
+    let checks = ref 0 and screened = ref 0 in
     let best_obs = ref obs in
     (* one validation = one oracle check (plus the two localization
        traces); a candidate passes iff it still diverges in the same
@@ -295,25 +307,53 @@ let reduce ?(max_checks = 1_000) ?program ?reoracle (oracle : Oracle.t)
       | None -> (None, !best_obs, 0, 0)
       | Some p0 ->
         let reoracle =
-          match reoracle with Some f -> f | None -> default_reoracle oracle
+          match reoracle with Some f -> f | None -> Oracle.recompile oracle
+        in
+        (* The screen's template is the first re-oracle, and only when it
+           judges the same implementations in the same order as [oracle]
+           (then partitions line up position for position with the
+           original class) and more than the pair (else the screen is
+           the full check).  Until then every candidate gets the full
+           check. *)
+        let screen = ref (fun _ -> false) and first = ref true in
+        let full tp =
+          let o = reoracle tp in
+          if !first then begin
+            first := false;
+            let names = Oracle.names o in
+            if names = Oracle.names oracle && List.length names > 2 then
+              screen :=
+                screen_rejects ~template:o ~pair:(Option.get cls.cls_pair)
+                  ~input:red_input
+          end;
+          o
         in
         let prog_obs = ref None in
+        (* one check per typechecked candidate, whichever stage decides
+           it, so the budget is spent exactly as by full checks alone *)
         let test_program cand =
           !checks < max_checks
           && begin
                match Minic.Typecheck.check_program_result cand with
                | Error _ -> false
-               | Ok tp -> (
+               | Ok tp ->
                  incr checks;
-                 let o = reoracle tp in
-                 match Oracle.check o ~input:red_input with
-                 | Oracle.Agree _ -> false
-                 | Oracle.Diverge obs' ->
-                   if same_class cls (class_of o ~input:red_input obs') then begin
-                     prog_obs := Some obs';
-                     true
-                   end
-                   else false)
+                 if !screen tp then begin
+                   incr screened;
+                   false
+                 end
+                 else begin
+                   let o = full tp in
+                   match Oracle.check o ~input:red_input with
+                   | Oracle.Agree _ -> false
+                   | Oracle.Diverge obs' ->
+                     if same_class cls (class_of o ~input:red_input obs')
+                     then begin
+                       prog_obs := Some obs';
+                       true
+                     end
+                     else false
+                 end
              end
         in
         (* greedy fixpoint: apply the first validating one-step
@@ -345,6 +385,7 @@ let reduce ?(max_checks = 1_000) ?program ?reoracle (oracle : Oracle.t)
             input_after = String.length red_input;
             stmts_before;
             stmts_after;
+            screened = !screened;
           };
       }
   end

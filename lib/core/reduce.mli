@@ -5,8 +5,8 @@
     module shrinks a diverging [(program, input)] pair with delta
     debugging (Zeller & Hildebrandt's ddmin over the input bytes, then
     byte canonicalization to zero/printable, then structural program
-    reduction), re-validating every candidate through {!Oracle.check} so
-    the reduced pair still exhibits the {e same} divergence:
+    reduction), re-validating every candidate so the reduced pair still
+    exhibits the {e same} divergence:
 
     - the behaviour partition keeps the same canonical signature
       ({!Triage.signature_of_partition}), which pins the implementation
@@ -18,7 +18,13 @@
     A candidate that merely diverges differently (a new bug uncovered by
     the edit) is rejected, so reduction can only preserve the original
     root cause.  The reduced input never grows and the reduced program
-    never gains statements, by construction. *)
+    never gains statements, by construction.
+
+    Program candidates are validated in two stages: a screen on the two
+    implementations the divergence separates ({!screen_rejects}), then
+    the full {!Oracle.check} for the survivors.  The screen only rejects
+    candidates the full check would reject, so results and check counts
+    equal those of full checks alone. *)
 
 type cls = {
   cls_signature : int;
@@ -38,6 +44,9 @@ type stats = {
   input_after : int;     (** reduced input size, bytes *)
   stmts_before : int;    (** program statements (0 if not reduced) *)
   stmts_after : int;
+  screened : int;
+      (** program candidates rejected by the pair screen (each also
+          counted in [checks]) without the full recompilation *)
 }
 
 type result = {
@@ -64,6 +73,28 @@ val count_stmts : Minic.Ast.program -> int
 (** Statements in pre-order, nested blocks included (the program-size
     metric of {!stats}). *)
 
+val candidates : Minic.Ast.program -> Minic.Ast.program Seq.t
+(** Every one-step simplification of a program, in the order program
+    reduction tries them: function drops, global drops, then per
+    statement (pre-order) drop, branch flattening and zeroing. *)
+
+val screen_rejects :
+  template:Oracle.t ->
+  pair:string * string ->
+  input:string ->
+  Minic.Tast.tprogram ->
+  bool
+(** [screen_rejects ~template ~pair:(a, b) ~input tp] builds
+    [Oracle.recompile ~only:[a; b] template tp], observes [input] once,
+    and is [true] when both profiles terminate (neither hangs) with
+    equal checksums.  Then an oracle like [template] on [tp] would also
+    put [a] and [b] in one behaviour class: while exactly one of them
+    hangs the full oracle is mixed too, so it escalates at least as far,
+    and a terminating run gives the same observation under any
+    sufficient budget.  A divergence whose class separates [a] and [b]
+    can therefore not be preserved by [tp] (short of a partition
+    signature collision).  [false] decides nothing. *)
+
 val reduce :
   ?max_checks:int ->
   ?program:Minic.Ast.program ->
@@ -85,9 +116,11 @@ val reduce :
     binaries were compiled from) is given: statements are dropped,
     branches flattened, expressions canonicalized to zero, functions and
     globals removed — greedily, revalidating after every step.  Each
-    accepted candidate is recompiled through [reoracle] (default: an
-    oracle with the paper's ten implementations and this oracle's
-    normalize/fuel settings; pass an explicit factory when the original
-    used a different profile set).
+    candidate that survives the pair screen is recompiled through
+    [reoracle] (default: [Oracle.recompile oracle], this oracle's
+    profiles and settings on the candidate) and fully checked.  The
+    screen's template is the first oracle [reoracle] returns; it screens
+    only when that oracle has [oracle]'s implementation names, in the
+    same order, and more than two of them.
 
     [max_checks] (default 1000) bounds the total validation budget. *)

@@ -17,24 +17,17 @@ type project_result = {
 }
 
 (* The paper's reporting step (§5): shrink one representative per
-   signature.  Reductions are independent of each other — each owns its
-   candidate oracles and the shared campaign oracle is thread-safe — so
-   they spread over the pool, one divergence per task; the per-candidate
-   executions inside a reduction run on the linked images as usual. *)
+   signature.  Candidate programs are recompiled like the campaign
+   oracle, through its session, so repeated candidates and re-checked
+   inputs hit its caches.  Reductions are independent of each other —
+   each owns its candidate oracles and the shared campaign oracle is
+   thread-safe — so they spread over the pool, one divergence per task;
+   the per-candidate executions inside a reduction run on the linked
+   images as usual. *)
 let reduce_representatives ?(max_checks = 160) (p : Project.t)
     (campaign : Fuzz.Compdiff_afl.campaign) : Compdiff.Reduce.stats list =
-  (* candidate oracles share the campaign oracle's session: repeated
-     candidate programs and re-checked inputs hit its caches *)
-  let session =
-    Compdiff.Oracle.session campaign.Fuzz.Compdiff_afl.oracle
-  in
-  let reoracle tp =
-    Compdiff.Oracle.create ~session
-      ~profiles:(Project.profiles_for p)
-      ~normalize:p.Project.normalize ~fuel:60_000 tp
-  in
   let reduce_one (e : Compdiff.Triage.diff_entry) =
-    Compdiff.Reduce.reduce ~max_checks ~program:p.Project.program ~reoracle
+    Compdiff.Reduce.reduce ~max_checks ~program:p.Project.program
       campaign.Fuzz.Compdiff_afl.oracle ~input:e.Compdiff.Triage.input
       e.Compdiff.Triage.observations
     |> Option.map (fun (r : Compdiff.Reduce.result) ->

@@ -40,6 +40,10 @@ type config = {
   max_oracles : int;      (* warm-oracle table bound *)
   default_fuel : int;
   default_profiles : Cdcompiler.Policy.profile list;
+  gate : unit -> unit;
+      (* run by an executor, outside the lock, between claiming work and
+         running it; [ignore] unless a test must hold a request in
+         flight *)
 }
 
 let default_config ?session () =
@@ -53,6 +57,7 @@ let default_config ?session () =
     max_oracles = 32;
     default_fuel = 200_000;
     default_profiles = Cdcompiler.Profiles.all;
+    gate = ignore;
   }
 
 type client = {
@@ -496,9 +501,11 @@ let rec executor_loop t =
   match claim_flight t with
   | `Stop -> ()
   | `Checks riders ->
+      t.cfg.gate ();
       run_check_flight t riders;
       executor_loop t
   | `One it ->
+      t.cfg.gate ();
       (match it.it_req with
       | Proto.Fuzz f -> run_fuzz t it f
       | Proto.Metacheck m -> run_metacheck t it m

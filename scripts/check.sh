@@ -214,6 +214,25 @@ else
     fi
   fi
 fi
+echo "== reduce smoke test (profile subset)"
+# Program reduction must also shrink the program when the oracle judges
+# a profile subset: candidates are recompiled with the same profiles.
+set +e
+sub_out=$(dune exec bin/compdiff_cli.exe -- reduce examples/unstable_uninit.c \
+  --input 'XYZQRS' --profiles gccx-O0,clangx-O3 --stats 2>&1)
+got=$?
+set -e
+stmts=$(printf '%s\n' "$sub_out" \
+  | sed -n 's/.*program: \([0-9]*\) -> \([0-9]*\) statements.*/\1 \2/p')
+if [ "$got" -ne 1 ]; then
+  echo "FAIL reduce subset: exited $got, expected 1 (divergence reduced)"
+  status=1
+elif [ -z "$stmts" ] || [ "${stmts#* }" -ge "${stmts% *}" ]; then
+  echo "FAIL reduce subset: program did not shrink (${stmts:-no program line})"
+  status=1
+else
+  echo "ok   reduce subset (program ${stmts% *} -> ${stmts#* } statements)"
+fi
 echo "== explore smoke test"
 # Time-travel the divergence the reducer just minimized: explore must
 # record both sides at instruction granularity, pin a first diverging

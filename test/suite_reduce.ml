@@ -152,6 +152,143 @@ let test_budget_respected () =
   check_bool "validation budget respected" true
     (r.Compdiff.Reduce.red_stats.Compdiff.Reduce.checks <= 10)
 
+(* --- the pair screen --- *)
+
+(* a helper function and a global give program reduction function and
+   global drops to try, besides statement edits *)
+let helper_uninit_src =
+  "int g = 7;\n\
+   int twice(int x) { return x + x; }\n\
+   int main() {\n\
+   \  int a = getchar();\n\
+   \  int junk;\n\
+   \  int t = twice(a);\n\
+   \  if (a == 85) { print(\"v=%d\\n\", junk); }\n\
+   \  print(\"t=%d g=%d\\n\", t, g);\n\
+   \  return 0;\n\
+   }"
+
+(* (source, diverging input) pairs whose candidates the screen tests *)
+let screen_cases =
+  [
+    (guarded_uninit_src, "U");
+    (unconditional_uninit_src, "");
+    (helper_uninit_src, "U");
+  ]
+
+let same_class (a : Compdiff.Reduce.cls) (b : Compdiff.Reduce.cls) =
+  a.Compdiff.Reduce.cls_signature = b.Compdiff.Reduce.cls_signature
+  && a.Compdiff.Reduce.cls_fn = b.Compdiff.Reduce.cls_fn
+
+(* Whether the full oracle on [tp] preserves [cls] at [input]: the
+   acceptance test of program reduction without the screen. *)
+let full_preserves oracle cls ~input tp =
+  let o = Compdiff.Oracle.recompile oracle tp in
+  match Compdiff.Oracle.check o ~input with
+  | Compdiff.Oracle.Agree _ -> false
+  | Compdiff.Oracle.Diverge obs ->
+    same_class cls (Compdiff.Reduce.class_of o ~input obs)
+
+let test_screen_sound () =
+  let rejected = ref 0 in
+  List.iter
+    (fun (src, input) ->
+      let oracle = Compdiff.Oracle.create ~fuel:60_000 (frontend src) in
+      let cls =
+        Compdiff.Reduce.class_of oracle ~input (diverging_obs oracle ~input)
+      in
+      let pair = Option.get cls.Compdiff.Reduce.cls_pair in
+      Seq.iter
+        (fun cand ->
+          match Minic.Typecheck.check_program_result cand with
+          | Error _ -> ()
+          | Ok tp ->
+            if Compdiff.Reduce.screen_rejects ~template:oracle ~pair ~input tp
+            then begin
+              incr rejected;
+              if full_preserves oracle cls ~input tp then
+                Alcotest.failf "screen rejected a class-preserving candidate:\n%s"
+                  (Minic.Pretty.program_to_string cand)
+            end)
+        (Compdiff.Reduce.candidates (parse src)))
+    screen_cases;
+  check_bool "the screen rejects some candidates" true (!rejected > 0)
+
+(* Program reduction with full checks only, written out from the
+   contract: the input stage as [reduce] runs it, then the greedy
+   first-acceptable-candidate fixpoint, one check per typechecked
+   candidate. *)
+let greedy_full_checks ~max_checks oracle ~input program =
+  let obs = diverging_obs oracle ~input in
+  let cls = Compdiff.Reduce.class_of oracle ~input obs in
+  let r = reduce_exn ~max_checks oracle ~input in
+  let red_input = r.Compdiff.Reduce.red_input in
+  let checks = ref r.Compdiff.Reduce.red_stats.Compdiff.Reduce.checks in
+  let accept cand =
+    !checks < max_checks
+    &&
+    match Minic.Typecheck.check_program_result cand with
+    | Error _ -> false
+    | Ok tp ->
+      incr checks;
+      full_preserves oracle cls ~input:red_input tp
+  in
+  let rec fix cur progressed =
+    if !checks >= max_checks then (cur, progressed)
+    else
+      match Seq.find accept (Compdiff.Reduce.candidates cur) with
+      | Some p -> fix p true
+      | None -> (cur, progressed)
+  in
+  let p, progressed = fix program false in
+  (red_input, (if progressed then Some p else None), !checks)
+
+let test_screen_equivalent () =
+  let screened = ref 0 in
+  List.iter
+    (fun (src, input, max_checks) ->
+      let program = parse src in
+      let oracle = Compdiff.Oracle.create ~fuel:60_000 (frontend src) in
+      let r = reduce_exn ~max_checks ~program oracle ~input in
+      let red_input, red_program, checks =
+        greedy_full_checks ~max_checks oracle ~input program
+      in
+      let s = r.Compdiff.Reduce.red_stats in
+      screened := !screened + s.Compdiff.Reduce.screened;
+      Alcotest.(check string) "same reduced input" red_input
+        r.Compdiff.Reduce.red_input;
+      check_bool "same reduced program" true
+        (red_program = r.Compdiff.Reduce.red_program);
+      check_int "same checks" checks s.Compdiff.Reduce.checks;
+      check_bool "screened within checks" true
+        (s.Compdiff.Reduce.screened <= s.Compdiff.Reduce.checks))
+    [
+      (guarded_uninit_src, "Upadding", 1_000);
+      (helper_uninit_src, "Uxyz", 1_000);
+      (* a budget that runs out mid-way through program reduction *)
+      (helper_uninit_src, "Uxyz", 20);
+    ];
+  check_bool "the screen decided some candidates" true (!screened > 0)
+
+(* Regression: candidate oracles used to be built with all ten profiles
+   whatever the original oracle judged, so a 2-profile oracle's
+   partitions never matched and program reduction made no progress. *)
+let test_profile_subset_progress () =
+  let src = guarded_uninit_src in
+  let program = parse src in
+  let profiles =
+    List.map
+      (fun n -> Option.get (Cdcompiler.Profiles.by_name n))
+      [ "gccx-O0"; "clangx-O3" ]
+  in
+  let oracle = Compdiff.Oracle.create ~profiles ~fuel:60_000 (frontend src) in
+  let r = reduce_exn oracle ~input:"U" ~program in
+  let s = r.Compdiff.Reduce.red_stats in
+  check_bool "program reduced" true (r.Compdiff.Reduce.red_program <> None);
+  check_bool "statements removed" true
+    (s.Compdiff.Reduce.stmts_after < s.Compdiff.Reduce.stmts_before);
+  check_int "nothing to screen with only the pair" 0 s.Compdiff.Reduce.screened
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -166,5 +303,8 @@ let suites =
         tc "agreement rejected" test_reduce_rejects_agreement;
         tc "program reduction" test_program_reduction_shrinks;
         tc "budget respected" test_budget_respected;
+        tc "pair screen sound" test_screen_sound;
+        tc "pair screen equals full checks" test_screen_equivalent;
+        tc "profile subset reduces program" test_profile_subset_progress;
       ] );
   ]

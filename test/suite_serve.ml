@@ -43,8 +43,8 @@ let temp_socket () =
   f
 
 (* a daemon on a fresh socket; returns (socket path, server, its thread) *)
-let start_server ?(quota = 32) ?(executors = 2) ?(idle_timeout = 0.)
-    ?(client_timeout = 0.) () =
+let start_server ?(quota = 32) ?(executors = 2) ?(gate = ignore)
+    ?(idle_timeout = 0.) ?(client_timeout = 0.) () =
   let socket_path = temp_socket () in
   let srv =
     Serve.Server.create
@@ -58,6 +58,7 @@ let start_server ?(quota = 32) ?(executors = 2) ?(idle_timeout = 0.)
             with
             Serve.Scheduler.quota;
             executors;
+            gate;
           };
         client_timeout;
         idle_timeout;
@@ -333,7 +334,15 @@ let test_multi_input_positions () =
 (* --- backpressure: an over-quota client is shed, others are served --- *)
 
 let test_quota_backpressure () =
-  let path, srv, th = start_server ~quota:1 ~executors:1 () in
+  (* the first request an executor claims is held in flight until the
+     whole burst has been admitted, so its credit cannot come back
+     before the other frames are read, however the threads interleave *)
+  let latch = Semaphore.Binary.make false in
+  let first = Atomic.make true in
+  let gate () =
+    if Atomic.exchange first false then Semaphore.Binary.acquire latch
+  in
+  let path, srv, th = start_server ~quota:1 ~executors:1 ~gate () in
   let flood = Serve.Client.connect path in
   (* pipeline a burst of slow checks without reading responses: the
      first consumes the only credit, the rest must be shed Busy *)
@@ -350,6 +359,14 @@ let test_quota_backpressure () =
                ck_strip = false;
              }))
   in
+  let shed () =
+    (Serve.Scheduler.sched_stats (Serve.Server.sched srv)).Serve.Proto.sr_shed
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while shed () < burst - 1 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.002
+  done;
+  Semaphore.Binary.release latch;
   (* a second client is admitted and served despite the flood *)
   let other = Serve.Client.connect path in
   (match
