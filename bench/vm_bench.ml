@@ -41,6 +41,11 @@ let time ?(trials = trials) f =
   (!best, Option.get !result)
 
 let run () =
+  (* a single-domain measurement: idle pool domains left by earlier
+     bench sections join every stop-the-world minor collection and tax
+     the allocation-heavy reference interpreter most, inflating the
+     speedups, so quiesce the pool first (as the trace bench does) *)
+  Cdutil.Pool.quiesce ();
   let profile = Cdcompiler.Profiles.gccx "O0" in
   let units =
     List.map
@@ -121,7 +126,7 @@ let run () =
   let exec_speedup_batched = bat_eps /. ref_eps in
   (* end-to-end: oracle checks/sec, naive reference path vs the linked
      path with pooled arenas (both sequential so only the executor and
-     linking differ) *)
+     linking differ); [check] is a batch of one of [check_batch] *)
   let oracles =
     List.map
       (fun (tp, inputs) ->

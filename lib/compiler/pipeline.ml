@@ -1,7 +1,7 @@
 (* The compiler driver: front end once, then one backend run per profile.
 
    [compile profile tprogram] produces the "binary" (an {!Ir.unit_}) that
-   the VM executes. [compile_all] builds the full differential set. *)
+   the VM executes. *)
 
 open Ir
 
@@ -154,13 +154,3 @@ let compile (profile : Policy.profile) (tp : Minic.Tast.tprogram) : unit_ =
     restore_lines u0 (round (round u1))
   end
   else restore_lines u0 u1
-
-let compile_source (profile : Policy.profile) (src : string) :
-    (unit_, string) result =
-  match Minic.frontend_of_source src with
-  | Error _ as e -> e
-  | Ok tp -> Ok (compile profile tp)
-
-(* Compile one front-end result with every profile in the list. *)
-let compile_all ?(profiles = Profiles.all) (tp : Minic.Tast.tprogram) : unit_ list =
-  List.map (fun p -> compile p tp) profiles

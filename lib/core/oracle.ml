@@ -17,10 +17,13 @@
      images and stored observations across oracles;
    - binaries with equal {!Binsig.signature} form equivalence classes;
      one representative per class is linked at oracle creation and
-     executed via {!Engine.Session.run} (linked executor with a pooled
-     per-class arena), the observation fanned out to every member;
-   - the per-class runs of one fuel round go through the shared
-     {!Cdutil.Pool} when [jobs > 1];
+     executed via {!Engine.Session.run_batch} (linked executor with a
+     pooled per-class arena), the observation fanned out to every
+     member;
+   - one path observes any number of inputs ([observe_batch]); a single
+     check is a batch of one.  All inputs pending at one fuel level run
+     as one batch per class, and the per-class batches of one fuel
+     round go through the shared {!Cdutil.Pool} when [jobs > 1];
    - fuel escalation is incremental: only classes whose last observation
      hung are re-run at the higher budget.  This is observationally
      identical to re-running everything because the VM is deterministic
@@ -213,18 +216,6 @@ let run_one t ~fuel ~input (u : Ir.unit_) : observation =
     fuel_used = r.Cdvm.Exec.fuel_used;
   }
 
-(* Observe class [ci] through the session: linked execution with the
-   handle's pooled arena, served from the observation store when the
-   session caches (the store holds raw output; normalization is this
-   oracle's concern). *)
-let run_linked_one t ~fuel ~input ci : observation =
-  let o = Engine.Session.run t.session t.class_linked.(ci) ~input ~fuel in
-  {
-    output = t.normalize o.Engine.Session.obs_stdout;
-    status = o.Engine.Session.obs_status;
-    fuel_used = o.Engine.Session.obs_fuel;
-  }
-
 (* checksum of what CompDiff compares for one observation; hashed
    incrementally so the hot path never concatenates *)
 let checksum t (o : observation) : int32 =
@@ -245,63 +236,15 @@ let observe_naive t ~(input : string) : (string * observation) list =
   in
   attempt t.base_fuel
 
-(* Deduped, pooled, incrementally escalating execution.  Produces the
-   same observation list as [observe_naive] (see the header comment). *)
-let observe t ~(input : string) : (string * observation) list =
-  Atomic.incr t.c_checks;
-  let nclasses = Array.length t.class_repr in
-  let class_obs : observation option array = Array.make nclasses None in
-  let run_round fuel (pending : int list) =
-    let run ci =
-      Atomic.incr t.c_execs;
-      (ci, run_linked_one t ~fuel ~input ci)
-    in
-    let npending = List.length pending in
-    let obs =
-      if t.jobs > 1 && npending > 1 then Cdutil.Pool.map run pending
-      else List.map run pending
-    in
-    List.iter (fun (ci, o) -> class_obs.(ci) <- Some o) obs;
-    (* accounting, relative to the naive oracle's [nbinaries] runs per
-       round: dedup covers the members beyond each representative,
-       incremental escalation covers the classes not re-run at all *)
-    let covered = List.fold_left (fun a ci -> a + t.class_size.(ci)) 0 pending in
-    ignore (Atomic.fetch_and_add t.c_dedup_saved (covered - npending));
-    ignore (Atomic.fetch_and_add t.c_escal_saved (t.nbinaries - covered))
-  in
-  let rec escalate fuel pending =
-    run_round fuel pending;
-    let hung = ref [] and hung_members = ref 0 in
-    for ci = nclasses - 1 downto 0 do
-      match class_obs.(ci) with
-      | Some o when o.status = Cdvm.Trap.Hang ->
-          hung := ci :: !hung;
-          hung_members := !hung_members + t.class_size.(ci)
-      | _ -> ()
-    done;
-    (* [hung = []]: everything terminated. [hung_members = nbinaries]:
-       an all-hang, which (as in the naive loop) is only possible in the
-       first round and counts as agreement. *)
-    if !hung = [] || !hung_members = t.nbinaries then ()
-    else if fuel >= t.max_fuel then ()
-    else escalate (fuel * 4) !hung
-  in
-  escalate t.base_fuel (List.init nclasses Fun.id);
-  List.mapi
-    (fun i (name, _) ->
-      match class_obs.(t.class_of.(i)) with
-      | Some o -> (name, o)
-      | None -> assert false)
-    t.binaries
-
-(* Batched observation of many inputs: per-class, all inputs that still
-   need the class at the current fuel level run through ONE
-   {!Engine.Session.run_batch} (single arena acquisition, amortized
-   reset).  Escalation is level-synchronous — every input walks the same
-   base, ×4, ×16, … fuel sequence as the sequential loop, inputs just
-   drop out when their hang set stabilizes — so element [k] of the
-   result is exactly [observe t ~input:inputs.(k)], and the per-round
-   stats accounting below mirrors [observe]'s per input. *)
+(* Deduped, pooled, incrementally escalating observation: the oracle's
+   one execution path ([observe]/[check] are batches of one).  Per
+   class, all inputs that still need the class at the current fuel level
+   run through ONE {!Engine.Session.run_batch} (single arena
+   acquisition, amortized reset).  Escalation is level-synchronous:
+   every input walks the same base, ×4, ×16, … fuel sequence as
+   [observe_naive] and drops out when its hang set stabilizes, so
+   element [k] of the result equals [observe_naive t ~input:inputs.(k)]
+   (see the header comment). *)
 let observe_batch t ~(inputs : string array) :
     (string * observation) list array =
   let ninputs = Array.length inputs in
@@ -317,7 +260,10 @@ let observe_batch t ~(inputs : string array) :
     let fuel = ref t.base_fuel in
     let continue_ = ref true in
     while !continue_ do
-      (* accounting, per input, identical to [observe]'s run_round *)
+      (* accounting, per input, relative to the naive oracle's
+         [nbinaries] runs per round: dedup covers the members beyond
+         each representative, incremental escalation covers the classes
+         not re-run at all *)
       Array.iter
         (fun pend ->
           if pend <> [] then begin
@@ -361,7 +307,10 @@ let observe_batch t ~(inputs : string array) :
       if t.jobs > 1 && List.length cis > 1 then
         ignore (Cdutil.Pool.map run_class cis)
       else List.iter (fun ci -> ignore (run_class ci)) cis;
-      (* recompute each input's pending set, exactly as [escalate] does *)
+      (* recompute each input's pending set.  [hung = []]: everything
+         terminated.  [hung_members = nbinaries]: an all-hang, which (as
+         in the naive loop) is only possible in the first round and
+         counts as agreement. *)
       let any = ref false in
       Array.iteri
         (fun k pend ->
@@ -402,6 +351,9 @@ let verdict_of_observations t (obs : (string * observation) list) : verdict =
     let c0 = checksum t first in
     if List.for_all (fun (_, o) -> checksum t o = c0) rest then Agree first
     else Diverge obs
+
+let observe t ~(input : string) : (string * observation) list =
+  (observe_batch t ~inputs:[| input |]).(0)
 
 let check t ~(input : string) : verdict =
   verdict_of_observations t (observe t ~input)

@@ -17,9 +17,11 @@
     executed once per class, class runs go through the shared
     {!Cdutil.Pool} when [jobs > 1], and fuel escalation re-runs only the
     classes that hung, reusing finished observations (and their
-    [fuel_used]).  {!observe_naive}/{!check_naive} provide the
-    sequential dedup-free reference for cross-validation; both paths
-    produce structurally identical results. *)
+    [fuel_used]).  One path, {!observe_batch}, observes any number of
+    inputs; {!observe} and {!check} are batches of one.
+    {!observe_naive}/{!check_naive} provide the sequential dedup-free
+    reference for cross-validation; both paths produce structurally
+    identical results. *)
 
 type observation = {
   output : string;          (** normalized stdout *)
@@ -43,8 +45,8 @@ type stats = {
   dedup_saved : int;       (** executions avoided by binary dedup *)
   escalation_saved : int;  (** executions avoided by incremental escalation *)
 }
-(** Cumulative execution counters of one oracle ({!observe}/{!check}
-    only; the naive path is never counted).
+(** Cumulative execution counters of one oracle ({!observe_batch} and
+    the checks built on it; the naive path is never counted).
     [vm_execs + dedup_saved + escalation_saved] is what the naive oracle
     would have executed for the same checks. *)
 
@@ -131,25 +133,28 @@ val checksum : t -> observation -> int32
 (** The MurmurHash3 checksum CompDiff compares (paper §3.2, "Output
     examination"). *)
 
+val observe_batch : t -> inputs:string array -> (string * observation) list array
+(** [observe_batch t ~inputs]: run every binary on each input with
+    timeout escalation — the oracle's one execution path.  Deduped,
+    pooled and incremental, so element [k] is observationally identical
+    to [observe_naive t ~input:inputs.(k)].  All inputs pending at one
+    fuel level run through a single batched VM session per class
+    ({!Engine.Session.run_batch}), amortizing arena acquisition and
+    reset.  Escalation is level-synchronous: every input follows the
+    base, ×4, … sequence and drops out when its hang set stabilizes.
+    Stats are counted per input, so one batch adds what checking its
+    inputs one at a time would. *)
+
 val observe : t -> input:string -> (string * observation) list
-(** Run every binary on [input] with timeout escalation (deduped,
-    pooled, incremental — observationally identical to
-    {!observe_naive}). *)
+(** [observe t ~input] is [(observe_batch t ~inputs:[| input |]).(0)]:
+    a single check is a batch of one. *)
 
 val observe_naive : t -> input:string -> (string * observation) list
 (** The sequential reference: every binary, full re-runs on escalation. *)
 
-val observe_batch : t -> inputs:string array -> (string * observation) list array
-(** [observe_batch t ~inputs]: element [k] equals
-    [observe t ~input:inputs.(k)] (same observations, same cumulative
-    stats), but all inputs pending at one fuel level run through a
-    single batched VM session per class ({!Engine.Session.run_batch}),
-    amortizing arena acquisition and reset.  Escalation is
-    level-synchronous: every input follows the base, ×4, … sequence and
-    drops out when its hang set stabilizes. *)
-
 val check : t -> input:string -> verdict
-(** [observe] followed by checksum comparison. *)
+(** [observe] followed by checksum comparison: [(check_batch t
+    ~inputs:[| input |]).(0)]. *)
 
 val check_naive : t -> input:string -> verdict
 (** [observe_naive] followed by checksum comparison. *)

@@ -229,9 +229,6 @@ let report_buckets t (oracle : Oracle.t) ?program () :
       (k, List.stable_sort (fun a b -> compare (size a) (size b)) (List.rev es)))
     !buckets
 
-let report_representatives t oracle ?program () : diff_entry list =
-  List.map (fun (_, es) -> List.hd es) (report_buckets t oracle ?program ())
-
 let root_cause_to_string (rc : root_cause) : string =
   let f = rc.rc_finding in
   Printf.sprintf "suggested root cause: %s -- %s at line %d%s%s\n" rc.rc_label

@@ -71,11 +71,6 @@ val report_buckets :
 (** One bucket per key over {!representatives}, first-seen order;
     inside a bucket the smallest reproducer leads. *)
 
-val report_representatives :
-  t -> Oracle.t -> ?program:Minic.Ast.program -> unit -> diff_entry list
-(** The lead entry of every {!report_buckets} bucket: what a human
-    should actually read. *)
-
 val entry_deep : Oracle.t -> ?limit:int -> diff_entry -> Localize.deep option
 (** Instruction-level localization of one entry
     ({!Localize.deep_of_divergence} on the reduced reproducer when one

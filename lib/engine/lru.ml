@@ -135,8 +135,3 @@ let reset_stats t =
   Atomic.set t.hits 0;
   Atomic.set t.misses 0;
   Atomic.set t.evictions 0
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.table;
-      t.bytes <- 0)

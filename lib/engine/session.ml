@@ -7,7 +7,7 @@
 
      compile : typed program  -> per-profile binary   (unit cache)
      link    : binary         -> executable image     (image cache)
-     run     : image x input  -> raw observation      (observation store)
+     run     : image x inputs -> raw observations     (observation store)
 
    Cache keys are content hashes: a typed program or compiled unit is
    keyed by (length, murmur3 seed A, murmur3 seed B) of its [Marshal]
@@ -17,16 +17,17 @@
    can only substitute an identical artefact, up to the ~2^-64 residual
    collision probability of the double 32-bit hash over equal lengths.
 
-   The observation store memoizes [run] keyed by (image id, fuel,
-   input).  The VM is deterministic: a linked image run on a given input
-   under a given fuel budget produces exactly one (stdout, status,
-   fuel_used) triple, so replaying from the store is observationally
-   identical to re-executing.  Two restrictions keep this sound:
+   The observation store memoizes [run_batch] per input, keyed by
+   (image id, fuel, input).  The VM is deterministic: a linked image
+   run on a given input under a given fuel budget produces exactly one
+   (stdout, status, fuel_used) triple, so replaying from the store is
+   observationally identical to re-executing.  Two restrictions keep
+   this sound:
    - observations are stored RAW (pre-normalization); callers apply
      their own output filter on retrieval, so oracles with different
      normalizers can share a store;
-   - only plain runs go through [run].  Executions that differ in more
-     than (image, input, fuel) — sanitizer hooks, coverage, print
+   - only plain runs go through [run_batch].  Executions that differ in
+     more than (image, input, fuel) — sanitizer hooks, coverage, print
      tracing — must call the VM directly ([image] exposes the linked
      image for exactly that).
 
@@ -355,13 +356,6 @@ let obs_of_result (r : Cdvm.Exec.result) : exec_obs =
     obs_fuel = r.Cdvm.Exec.fuel_used;
   }
 
-let execute (l : linked) ~(input : string) ~(fuel : int) : exec_obs =
-  with_arena l (fun arena ->
-      obs_of_result
-        (Cdvm.Exec.run_linked
-           ~config:{ Cdvm.Exec.default_config with Cdvm.Exec.input; fuel }
-           ~arena l.image))
-
 let obs_disk_kind = "obs"
 
 (* the disk observation key: stable image key + fuel + exact input *)
@@ -374,37 +368,12 @@ let disk_of t (l : linked) =
   | Some d when l.skey <> "" -> Some d
   | Some _ | None -> None
 
-let run t (l : linked) ~(input : string) ~(fuel : int) : exec_obs =
-  if not t.caching then execute l ~input ~fuel
-  else
-    let mkey = (l.image_id, fuel, input) in
-    match Lru.find_opt t.obs_cache mkey with
-    | Some o -> o
-    | None -> (
-        let disk = disk_of t l in
-        let from_disk =
-          match disk with
-          | Some d ->
-              (Diskcache.get d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input)
-                : exec_obs option)
-          | None -> None
-        in
-        match from_disk with
-        | Some o ->
-            Lru.put t.obs_cache mkey o ~weight:(obs_weight input o);
-            o
-        | None ->
-            let o = execute l ~input ~fuel in
-            Lru.put t.obs_cache mkey o ~weight:(obs_weight input o);
-            (match disk with
-            | Some d -> Diskcache.put d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input) o
-            | None -> ());
-            o)
-
-(* Batched observation: serve what the stores already hold, then run all
-   remaining inputs through ONE arena acquisition ({!Cdvm.Exec.run_batch})
-   instead of an exchange/validate/reset cycle per input.  Results are
-   positionally identical to mapping {!run} over [inputs]. *)
+(* The one store-backed execution path (a single run is a batch of
+   one): serve what the memory store, then the disk store, already
+   hold, then run all remaining inputs through ONE arena acquisition
+   ({!Cdvm.Exec.run_batch}) instead of an exchange/validate/reset cycle
+   per input, and store what they observe.  Element [k] is the
+   observation of [inputs.(k)]. *)
 let run_batch t (l : linked) ~(inputs : string array) ~(fuel : int) :
     exec_obs array =
   let n = Array.length inputs in
@@ -465,7 +434,7 @@ let run_batch t (l : linked) ~(inputs : string array) ~(fuel : int) :
    (image, input, fuel), so it must bypass the observation store — it
    always executes, whatever the caching mode.  [Steps]-level runs build
    a fresh memory inside the VM (the arena would be dead weight);
-   everything else goes through the pooled arena like [run]. *)
+   everything else goes through the pooled arena like [run_batch]. *)
 let run_traced (_t : t) (l : linked) ~(observer : Cdvm.Observer.t)
     ~(input : string) ~(fuel : int) : Cdvm.Exec.result =
   let config =

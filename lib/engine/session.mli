@@ -8,9 +8,10 @@
     - a {b linked-image cache} keyed by the same (program, profile)
       identity when the unit came out of {!compile} (no re-serialization
       at link time), or by the unit's own content hash otherwise;
-    - an {b observation store} keyed by (image id, fuel, input) that
-      turns replayed executions (reduction re-validation, localization,
-      escalation replays, triage) into lookups.
+    - an {b observation store} keyed by (image id, fuel, input), behind
+      {!run_batch}, that turns replayed executions (reduction
+      re-validation, localization, escalation replays, triage) into
+      lookups.
 
     Content keys are (length, murmur3{_A}, murmur3{_B}) over the value's
     [Marshal] serialization; both program types are pure data, so equal
@@ -21,7 +22,7 @@
     stored raw (pre-normalization) and the VM is deterministic at fixed
     fuel, so a hit is observationally identical to a re-execution.
     Executions that differ in more than (image, input, fuel) — sanitizer
-    hooks, coverage, print tracing — must bypass {!run} and call the VM
+    hooks, coverage, print tracing — must bypass {!run_batch} and call the VM
     directly on {!image}.
 
     When [disk_dir] is given, a persistent {!Diskcache} layers behind
@@ -107,23 +108,22 @@ val image : linked -> Cdvm.Image.t
 (** The underlying image, for executions the observation store must not
     serve (hooks, coverage, tracing). *)
 
-val run : t -> linked -> input:string -> fuel:int -> exec_obs
-(** Observation-store-backed plain execution of a linked image (arena
-    pooled per handle; safe from any domain). *)
-
 val run_batch : t -> linked -> inputs:string array -> fuel:int ->
   exec_obs array
-(** [run_batch t l ~inputs ~fuel]: positionally identical to mapping
-    {!run} over [inputs], but all store misses execute through a single
-    arena acquisition ({!Cdvm.Exec.run_batch}), amortizing the
-    per-execution reset. *)
+(** [run_batch t l ~inputs ~fuel]: the store-backed plain execution
+    of a linked image, element [k] observing [inputs.(k)] (a single run
+    is a batch of one).  Each input is served from the observation
+    store when it holds it (memory, then disk); all misses execute
+    through a single arena acquisition ({!Cdvm.Exec.run_batch}),
+    amortizing the per-execution reset, and are stored.  The arena is
+    pooled per handle, so this is safe from any domain. *)
 
 val run_traced : t -> linked -> observer:Cdvm.Observer.t -> input:string ->
   fuel:int -> Cdvm.Exec.result
 (** Observed execution of a linked image.  The observer makes the run
     more than a function of (image, input, fuel), so the observation
     store is bypassed: [run_traced] {e always} executes.  Use it for
-    trace recording and print tracing; plain runs belong in {!run}. *)
+    trace recording and print tracing; plain runs belong in {!run_batch}. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

@@ -72,24 +72,6 @@ type state = {
   mutable san_sigs : (string, unit) Hashtbl.t;
 }
 
-let execute st (input : string) : Cdvm.Exec.result * int =
-  Cdvm.Coverage.reset st.cov;
-  let r =
-    Cdvm.Exec.run_linked
-      ~config:
-        {
-          Cdvm.Exec.default_config with
-          Cdvm.Exec.input;
-          fuel = st.cfg.fuel;
-          coverage = Some st.cov;
-          observer = Cdvm.Observer.sanitize st.cfg.hooks;
-        }
-      ~arena:st.arena st.image
-  in
-  st.execs <- st.execs + 1;
-  let novelty = Cdvm.Coverage.merge_count ~virgin:st.virgin st.cov in
-  (r, novelty)
-
 let process st (input : string) (r : Cdvm.Exec.result) ~(novelty : int) =
   (match r.Cdvm.Exec.status with
   | Cdvm.Trap.Trap t ->
@@ -118,18 +100,15 @@ let process st (input : string) (r : Cdvm.Exec.result) ~(novelty : int) =
       (Queue.add st.queue ~novelty ~divergent:oracle_interest ~data:input
          ~fuel_used:r.Cdvm.Exec.fuel_used ~found_at:st.execs)
 
-let consider st (input : string) =
-  let r, novelty = execute st input in
-  process st input r ~novelty
-
-(* Run a pre-computed input list as ONE VM batch on the campaign arena
-   (amortized reset), replaying the per-exec bookkeeping in order from
-   [on_each]: execs counter, virgin-map merge, crash/report dedup, queue
-   updates and the oracle hook all see exactly the state they would have
-   seen under sequential [consider] calls.  Only stages whose inputs do
-   not depend on execution results may batch (seed import and the
-   deterministic sweep); havoc mutations read the evolving queue and
-   stay sequential. *)
+(* Execute inputs on the instrumented build: ONE VM batch on the
+   campaign arena (amortized reset), replaying the per-exec bookkeeping
+   in order from [on_each] — execs counter, virgin-map merge,
+   crash/report dedup, queue updates and the oracle hook — so each input
+   sees the state the inputs before it left.  This is the only way the
+   fuzzer executes.  Stages whose inputs do not depend on execution
+   results batch them (seed import and the deterministic sweep); havoc
+   mutations read the evolving queue, so they go one at a time, as
+   batches of one. *)
 let consider_batch st (inputs : string array) =
   if Array.length inputs > 0 then begin
     Cdvm.Coverage.reset st.cov;
@@ -216,7 +195,7 @@ let run ?(config = default_config) (target : Cdcompiler.Ir.unit_) : campaign =
           | None -> Mutator.havoc st.rng seed.Queue.data
         else Mutator.havoc st.rng seed.Queue.data
       in
-      consider st input
+      consider_batch st [| input |]
     done
   done;
   {

@@ -30,28 +30,3 @@ let none =
     on_branch = (fun ~taint:_ -> ());
     on_deref_taint = (fun ~taint:_ -> ());
   }
-
-(* compose two hook sets (e.g. ASan + UBSan builds) *)
-let combine a b =
-  {
-    on_access =
-      (fun m p k ->
-        a.on_access m p k;
-        b.on_access m p k);
-    on_free =
-      (fun m p c ->
-        a.on_free m p c;
-        b.on_free m p c);
-    on_signed_arith =
-      (fun op w x y ->
-        a.on_signed_arith op w x y;
-        b.on_signed_arith op w x y);
-    on_branch =
-      (fun ~taint ->
-        a.on_branch ~taint;
-        b.on_branch ~taint);
-    on_deref_taint =
-      (fun ~taint ->
-        a.on_deref_taint ~taint;
-        b.on_deref_taint ~taint);
-  }

@@ -19,6 +19,12 @@ dune build
 echo "== dune runtest"
 dune runtest
 
+# again on four pool domains: the oracle's pooled per-class branch runs
+# only when jobs > 1.  --force because dune does not re-run a cached
+# test when only an undeclared environment variable changed.
+echo "== COMPDIFF_JOBS=4 dune runtest --force"
+COMPDIFF_JOBS=4 dune runtest --force
+
 echo "== static smoke test over examples/*.c"
 status=0
 for f in examples/*.c; do

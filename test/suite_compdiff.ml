@@ -378,6 +378,68 @@ let prop_parallel_oracle_matches_naive =
           (fun input -> Oracle.check o ~input = Oracle.check_naive o ~input)
           [ ""; "A"; "zz" ])
 
+(* escalates only on input "A": its loop then needs ~42k fuel at -O0
+   and ~22k in the optimized pipelines, so at a 30k base budget "A"
+   re-runs the -O0 class while every other input finishes in round one
+   -- mixed escalation levels inside one batch *)
+let input_escalation_src =
+  "int main() {\n\
+   \  int n = 10;\n\
+   \  if (getchar() == 65) { n = 2000; }\n\
+   \  int acc = 0;\n\
+   \  int i = 0;\n\
+   \  while (i < n) { acc = acc + i * 3 + 1; i = i + 1; }\n\
+   \  print(\"%d\\n\", acc);\n\
+   \  return 0;\n\
+   }"
+
+(* What the naive oracle executes for one input: every binary once per
+   fuel level up to the smallest base * 4^k covering every fuel_used (a
+   hang's fuel_used is the budget it was observed at). *)
+let naive_execs o ~input =
+  let obs = Oracle.observe_naive o ~input in
+  let top = List.fold_left (fun a (_, ob) -> max a ob.Oracle.fuel_used) 0 obs in
+  let rec levels fuel = if fuel >= top then 1 else 1 + levels (fuel * 4) in
+  List.length obs * levels (Oracle.base_fuel o)
+
+(* one (batch oracle, one-at-a-time oracle) pair per program and job
+   count; the batch side shares a caching session, so stored
+   observations are cross-validated against the naive reference too *)
+let batch_oracles =
+  lazy
+    (let session = Engine.Session.create ~cache_mb:16 () in
+     List.concat_map
+       (fun src ->
+         let tp = frontend src in
+         List.map
+           (fun jobs ->
+             let mk ?session () =
+               Oracle.create ?session ~jobs ~fuel:30_000 ~max_fuel:120_000 tp
+             in
+             (mk ~session (), mk ()))
+           [ 1; 2 ])
+       [ stable_src; unstable_src; hang_src; input_escalation_src ]
+     |> Array.of_list)
+
+let prop_check_batch_matches_check_naive =
+  QCheck.Test.make
+    ~name:"check_batch = per-input check_naive; stats = one-at-a-time checks"
+    ~count:60
+    QCheck.(
+      pair (int_bound 7)
+        (array_of_size Gen.(int_range 0 6) (oneofl [ ""; "A"; "Z"; "!"; "AB" ])))
+    (fun (which, inputs) ->
+      let batched, single = (Lazy.force batch_oracles).(which) in
+      Oracle.reset_stats batched;
+      Oracle.reset_stats single;
+      let verdicts = Oracle.check_batch batched ~inputs in
+      Array.iter (fun input -> ignore (Oracle.check single ~input)) inputs;
+      let s = Oracle.stats batched in
+      verdicts = Array.map (fun input -> Oracle.check_naive batched ~input) inputs
+      && s = Oracle.stats single
+      && s.Oracle.vm_execs + s.Oracle.dedup_saved + s.Oracle.escalation_saved
+         = Array.fold_left (fun a input -> a + naive_execs batched ~input) 0 inputs)
+
 let test_triage_signature_canonical () =
   let s1 = Triage.signature_of_partition [| 0; 0; 1; 1 |] in
   let s2 = Triage.signature_of_partition [| 1; 1; 0; 0 |] in
@@ -430,6 +492,7 @@ let suites =
         tc "escalation keeps fuel_used" test_oracle_escalation_keeps_fuel_used;
         tc "stats invariant" test_oracle_stats_invariant;
         QCheck_alcotest.to_alcotest prop_parallel_oracle_matches_naive;
+        QCheck_alcotest.to_alcotest prop_check_batch_matches_check_naive;
       ] );
     ( "compdiff.triage",
       [
